@@ -4,10 +4,12 @@ Started by ``run.py`` with the pinned environment (``workloads.sut_env``).
 It imports the package, resolves the scenario and prints ``ready`` —
 the end of set-up — then, unless ``--setup-only``, calls
 ``replicate_scenario`` back to back while another call fits in
-``--seconds`` (at least ``--min-calls``),
+``--seconds`` (at least ``--min-calls``, at most ``workloads.POOL``),
 timing each call from the call to the serialized pooled record.  The
 last stdout line is a JSON summary for ``run.py``; each call also
-prints its own line as it finishes.
+prints its own line as it finishes.  Before each call it waits for a
+``go`` line on stdin, so ``run.py`` can run its host-speed probe
+(``hostspeed.py``) while this process is idle.
 
 ``--trace-dir`` installs the span wrappers first (``tracing.py``) and
 writes the spans there.  ``--calls`` runs exactly the given call
@@ -26,7 +28,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from workloads import BATCH, call_seed  # noqa: E402
+from workloads import BATCH, POOL, call_seed  # noqa: E402
 
 
 def peak_rss_mb() -> float:
@@ -49,7 +51,6 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, default=0.0)
     parser.add_argument("--min-calls", type=int, default=3)
     parser.add_argument("--calls", default="")
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--setup-only", action="store_true")
     parser.add_argument("--trace-dir", default="")
     parser.add_argument("--profile", action="store_true")
@@ -74,7 +75,6 @@ def main() -> int:
 
         tracer = tracing.install(args.trace_dir)
 
-    workers = workload["workers"] if args.workers is None else args.workers
     overrides = dict(workload["overrides"])
     fixed = [int(part) for part in args.calls.split(",") if part]
     calls = []
@@ -85,11 +85,15 @@ def main() -> int:
             if len(calls) == len(fixed):
                 break
             index = fixed[len(calls)]
+        elif len(calls) == POOL:
+            break
         elif len(calls) >= args.min_calls:
             # Stop before a call that would overrun the budget.
             typical = sorted(call["seconds"] for call in calls)[len(calls) // 2]
             if time.perf_counter() - started + typical > args.seconds:
                 break
+        if sys.stdin.readline() != "go\n":
+            break
         base_seed = call_seed(args.seed, index)
         entry = {"index": index, "base_seed": base_seed}
         t0 = time.perf_counter()
@@ -98,7 +102,7 @@ def main() -> int:
                 spec,
                 seeds=workload["seeds"],
                 base_seed=base_seed,
-                workers=workers,
+                workers=workload["workers"],
                 overrides=overrides,
             )
             payload = json.dumps(record.as_dict(), indent=2)

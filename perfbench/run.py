@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """The repository's benchmark: one workload, one run, one JSON line.
 
-    python3 perfbench/run.py --workload stream-ramp --seed 3 --seconds 28 --trace 0
-    python3 perfbench/run.py --steady --seconds 28 --runs 5   # two sets per workload
-    python3 perfbench/run.py --pin 0,1                        # rewrite digests.json
+    python3 perfbench/run.py --workload stream-ramp --seed 3 --trace 0
+    python3 perfbench/run.py --steady --runs 5   # two sets per workload
+    python3 perfbench/run.py --pin               # rewrite digests.json
+
+``--seconds`` defaults to ``run_seconds`` in ``BENCHMARK.json``.
 
 A run measures for ``--seconds`` (split between the workload's phases),
 checks every output against a reference, and prints as its last line
@@ -34,15 +36,15 @@ from pathlib import Path
 BENCH_DIR = Path(__file__).resolve().parent
 sys.path.insert(0, str(BENCH_DIR))
 
+import hostspeed  # noqa: E402
 import workloads  # noqa: E402
-from workloads import BATCH, ROOT, SRC, WORKLOADS, sut_env  # noqa: E402
+from workloads import BATCH, POOL, ROOT, SRC, WORKLOADS, sut_env  # noqa: E402
 
 DIGESTS = BENCH_DIR / "digests.json"
 SCRATCH = ".perfbench_tmp"  # span files of a traced run, removed after it
 BENCHMARK = ROOT / "BENCHMARK.json"
 SETUP_SAMPLES = 4  # set-ups per run; setup_s is their median
 ACCOUNTED_BAR = 0.9
-PINNED = 16  # pinned record digests per workload and pinned seed
 # A call (a few seconds at most) silent this long is hung: it is killed
 # and counted as failed, so a run still ends well inside 180 s.
 CALL_DEADLINE_S = 60.0
@@ -73,6 +75,7 @@ def _spawn_batch(args: list[str], hash_seed: str = workloads.HASH_SEED):
     started = time.perf_counter()
     proc = subprocess.Popen(
         [sys.executable, str(BENCH_DIR / "batch.py"), *args],
+        stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -90,71 +93,91 @@ def _spawn_batch(args: list[str], hash_seed: str = workloads.HASH_SEED):
 def _finish(proc) -> dict:
     """The child's summary; a call silent past the deadline has failed.
 
-    On a timeout the child's whole process group is killed and the
-    summary holds the calls that finished plus one timed-out call.
+    Before each of the child's calls this process runs the host-speed
+    probe, then lets the call go; the summary's ``probe_s`` holds the
+    probe times.  On a timeout the child's whole process group is
+    killed and the summary holds the calls that finished plus one
+    timed-out call.
     """
     import selectors
 
     calls: list[dict] = []
+    probes: list[float] = []
+
+    def let_go() -> None:
+        probes.append(hostspeed.probe())
+        with contextlib.suppress(BrokenPipeError):  # the child has stopped
+            proc.stdin.write("go\n")
+            proc.stdin.flush()
+
     selector = selectors.DefaultSelector()
     selector.register(proc.stdout, selectors.EVENT_READ)
     try:
+        let_go()
         while True:
             if not selector.select(CALL_DEADLINE_S):
                 rss = _peak_rss_mb(proc.pid)
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait()
-                proc.stdout.close()
-                proc.stderr.close()
+                for stream in (proc.stdin, proc.stdout, proc.stderr):
+                    stream.close()
                 index = calls[-1]["index"] + 1 if calls else 0
                 print(f"# call {index} did not finish within {CALL_DEADLINE_S:.0f} s; killed")
                 calls.append({"index": index, "seconds": CALL_DEADLINE_S,
                               "error": f"no result within {CALL_DEADLINE_S:.0f} s"})
-                return {"calls": calls, "peak_rss_mb": rss}
+                return {"calls": calls, "peak_rss_mb": rss, "probe_s": probes}
             line = proc.stdout.readline()
             if not line:
                 break
             message = json.loads(line)
             if "call" in message:
                 calls.append(message["call"])
+                let_go()
             else:
                 summary = message
     finally:
         selector.close()
-    _, err = proc.communicate()
+    with contextlib.suppress(BrokenPipeError):
+        proc.stdin.close()
+    err = proc.stderr.read()
+    proc.wait()
+    proc.stdout.close()
+    proc.stderr.close()
     if proc.returncode != 0:
         raise RuntimeError(f"batch child exited {proc.returncode}: {err[-2000:]}")
+    summary["probe_s"] = probes
     return summary
 
 
 def _batch_setups(name: str, seed: int, count: int) -> list[float]:
+    """Set-up times of ``count`` fresh children, each scaled by a probe
+    run just before it."""
     samples = []
     for _ in range(count):
+        probe = hostspeed.probe()
         proc, ready = _spawn_batch(["--workload", name, "--seed", str(seed), "--setup-only"])
         proc.communicate()
         if proc.returncode != 0:
             raise RuntimeError("set-up child failed")
-        samples.append(ready)
+        samples.append(hostspeed.scaled(ready, [probe]))
     return samples
 
 
-def _pinned(name: str, seed: int) -> list[str]:
-    pins = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    return pins.get(name, {}).get(str(seed), [])
+def _check_calls(name: str, calls: list[dict]) -> int:
+    """Count failed calls: raised, or bytes differing from the pinned digest.
 
-
-def _check_calls(name: str, seed: int, calls: list[dict]) -> int:
-    """Count failed calls: raised, or bytes differing from a pinned digest."""
-    pins = _pinned(name, seed)
+    Every base seed of the pool has a pinned digest, so every call that
+    returned is compared; a call without one counts as failed.
+    """
+    pins = json.loads(DIGESTS.read_text(encoding="utf-8")).get(name, {})
     failed = 0
     for call in calls:
         if "error" in call:
             print(f"# call {call['index']} raised: {call['error']}")
             failed += 1
-            continue
-        want = pins[call["index"]] if call["index"] < len(pins) else None
-        if want is not None and call["sha256"] != want:
-            print(f"# call {call['index']} differs from its pinned digest")
+        elif call["sha256"] != pins.get(str(call["base_seed"])):
+            print(f"# call {call['index']} (base seed {call['base_seed']}) "
+                  "differs from its pinned digest")
             failed += 1
     return failed
 
@@ -162,25 +185,32 @@ def _check_calls(name: str, seed: int, calls: list[dict]) -> int:
 def batch_run(name: str, seed: int, seconds: float) -> tuple[dict, int, int, dict]:
     setups = _batch_setups(name, seed, SETUP_SAMPLES - 1)
     # The set-ups above take about a tenth of the budget.
+    probe = hostspeed.probe()
     proc, ready = _spawn_batch(
         ["--workload", name, "--seed", str(seed), "--seconds", str(seconds * 0.9)]
     )
-    setups.append(ready)
+    setups.append(hostspeed.scaled(ready, [probe]))
     summary = _finish(proc)
     calls = summary["calls"]
-    failed = _check_calls(name, seed, calls)
-    times = [call["seconds"] for call in calls if "error" not in call]
+    failed = _check_calls(name, calls)
+    # Measured time over calls made: the inverse of throughput at the
+    # stated size, scaled to the reference host speed by the probes
+    # run between the calls.  A failed call counts with the time it
+    # took to fail.
+    wall = statistics.mean(call["seconds"] for call in calls)
     metrics = {
         "setup_s": statistics.median(setups),
-        # Measured time over calls made: the inverse of throughput at
-        # the stated size.  Steadier than the median call here, because
-        # the host alternates between speed states for seconds at a
-        # time and a median snaps to whichever state held most calls.
-        "run_s": statistics.mean(times) if times else 0.0,
+        "run_s": hostspeed.scaled(wall, summary["probe_s"]),
         "peak_rss_mb": summary["peak_rss_mb"],
         "ok_ratio": (len(calls) - failed) / len(calls),
     }
-    return metrics, len(calls), failed, {"calls": len(calls), "call_s": times}
+    info = {
+        "calls": len(calls),
+        "wall_run_s": wall,
+        "call_s": [call["seconds"] for call in calls],
+        "probe_s": summary["probe_s"],
+    }
+    return metrics, len(calls), failed, info
 
 
 def batch_trace(name: str, seed: int, seconds: float) -> tuple[dict, int, int, dict]:
@@ -197,7 +227,8 @@ def batch_trace(name: str, seed: int, seconds: float) -> tuple[dict, int, int, d
 
     base = ["--workload", name, "--seed", str(seed)]
     first, _ = _spawn_batch(base + ["--seconds", str(seconds / 4), "--min-calls", "1"])
-    plain_calls = _finish(first)["calls"]
+    # Both rounds together stay within the pool of base seeds.
+    plain_calls = _finish(first)["calls"][: POOL // 2]
     count = len(plain_calls)
     rounds = [range(0, count), range(count, 2 * count)]
     traced_calls: list[dict] = []
@@ -214,7 +245,7 @@ def batch_trace(name: str, seed: int, seconds: float) -> tuple[dict, int, int, d
         spans, counts, roots = tracing.load(trace_dir)
     finally:
         shutil.rmtree(trace_dir, ignore_errors=True)
-    failed = _check_calls(name, seed, plain_calls) + _check_calls(name, seed, traced_calls)
+    failed = _check_calls(name, plain_calls) + _check_calls(name, traced_calls)
     # Neither tracing nor the hash seed may change a single record byte.
     for plain_call, traced_call in zip(plain_calls, traced_calls):
         if "error" not in traced_call and plain_call.get("sha256") != traced_call.get("sha256"):
@@ -239,12 +270,13 @@ def batch_trace(name: str, seed: int, seconds: float) -> tuple[dict, int, int, d
 
 
 def _mixed_passes(daemon, traffic, seed: int, seconds: float, outcome, minimum: int = 3):
-    """Closed-loop mixed passes, back to back, for ``seconds``."""
+    """Closed-loop mixed passes for ``seconds``, a host probe before each."""
     import serve
 
     rng = random.Random(seed)
     started = time.perf_counter()
     while len(outcome.bulk_s) < minimum or time.perf_counter() - started < seconds:
+        outcome.probe_s.append(hostspeed.probe())
         serve.bulk_pass(daemon, traffic, rng, outcome)
 
 
@@ -253,28 +285,41 @@ def serve_run(seed: int, seconds: float) -> tuple[dict, int, int, dict]:
 
     traffic = serve.make_traffic(seed)
     setups = []
-    for _ in range(SETUP_SAMPLES - 1):
+    for sample in range(SETUP_SAMPLES):
+        probe = hostspeed.probe()
         daemon, ready = serve.start_trained(traffic)
-        setups.append(ready)
-        daemon.shutdown()
-    daemon, ready = serve.start_trained(traffic)
-    setups.append(ready)
+        setups.append(hostspeed.scaled(ready, [probe]))
+        if sample < SETUP_SAMPLES - 1:
+            daemon.shutdown()
     outcome = serve.ServeOutcome()
     try:
         # The rest of the budget goes to replaying every reply on the
         # library classifier (serve.verify), which is not timed.
+        cpu_before = _cpu_seconds(daemon.proc.pid)
         _mixed_passes(daemon, traffic, seed, seconds * 0.6, outcome)
+        cpu = _cpu_seconds(daemon.proc.pid) - cpu_before
         rss = daemon.peak_rss_mb()
     finally:
         daemon.shutdown()
     serve.verify(traffic, outcome)
+    # The daemon's CPU time per pass, not the pass's wall time: generator
+    # and daemon share two vCPUs, and the waits between them swing with
+    # the other tenants' load far more than the daemon's work does.
+    passes = len(outcome.bulk_s)
     metrics = {
         "setup_s": statistics.median(setups),
-        "run_s": statistics.mean(outcome.bulk_s),
+        "run_s": hostspeed.scaled(cpu / passes, outcome.probe_s),
         "peak_rss_mb": rss,
         "ok_ratio": (outcome.attempted - outcome.failed) / outcome.attempted,
     }
-    return metrics, outcome.attempted, outcome.failed, {"passes": len(outcome.bulk_s)}
+    info = {
+        "passes": passes,
+        "wall_run_s": statistics.mean(outcome.bulk_s),
+        "daemon_cpu_s": cpu,
+        "pass_s": outcome.bulk_s,
+        "probe_s": outcome.probe_s,
+    }
+    return metrics, outcome.attempted, outcome.failed, info
 
 
 def serve_trace(seed: int, seconds: float) -> tuple[dict, int, int, dict]:
@@ -333,9 +378,9 @@ def serve_trace(seed: int, seconds: float) -> tuple[dict, int, int, dict]:
         "serve.errors": stats["errors"],
         "loadgen.late_p99_ms": slo.late_p99_ms,
         "loadgen.backlog_max": slo.backlog_max,
-        "slo.score_p50_ms": 0.0 if slo.invalid else quantile(slo.score_ms, 0.50),
-        "slo.score_p99_ms": 0.0 if slo.invalid else quantile(slo.score_ms, 0.99),
-        "slo.write_p95_ms": 0.0 if slo.invalid else quantile(slo.write_ms, 0.95),
+        "slo.score_p50_ms": quantile(slo.score_ms, 0.50),
+        "slo.score_p99_ms": quantile(slo.score_ms, 0.99),
+        "slo.write_p95_ms": quantile(slo.write_ms, 0.95),
         "slo.max_rate_rps": ladder.max_rate_rps,
     })
     if metrics["trace.accounted_share"] < ACCOUNTED_BAR:
@@ -346,13 +391,39 @@ def serve_trace(seed: int, seconds: float) -> tuple[dict, int, int, dict]:
         "unaccounted": unaccounted,
         "hot_functions": unaccounted_hot,
         "daemon_cpu_s": cpu,
+        "passes": len(traced.bulk_s),
         "score_samples": len(slo.score_ms),
         "write_samples": len(slo.write_ms),
         "ladder": ladder.ladder,
         "slo_invalid": slo.invalid,
     }
     attempted = plain.attempted + traced.attempted
-    return metrics, attempted, plain.failed + traced.failed, info
+    failed = plain.failed + traced.failed
+    if slo.invalid:
+        # Every reporting attempt ran behind schedule: the slo.* figures
+        # above are the last attempt's, not a valid measurement, so the
+        # unscored phase counts as one failed operation.
+        print("# slo phase invalid: " + "; ".join(slo.invalid))
+        attempted += 1
+        failed += 1
+    return metrics, attempted, failed, info
+
+
+def _hung_corpus(exc) -> tuple[dict, int, int, dict]:
+    """A serve run whose corpus never finished: one failed operation.
+
+    The run reports the time spent waiting as its set-up and run time;
+    layers that never ran read 0.
+    """
+    print(f"# {exc}")
+    metrics = dict.fromkeys(_units(), 0.0)
+    metrics.update({
+        "setup_s": exc.seconds,
+        "run_s": exc.seconds,
+        "corpus.generate_s": exc.seconds,
+        "peak_rss_mb": _peak_rss_mb(os.getpid()),
+    })
+    return metrics, 1, 1, {"corpus_timeout_s": exc.seconds}
 
 
 def _profiled_daemon(traffic, seed: int) -> list:
@@ -504,8 +575,13 @@ def run_once(workload: str, seed: int, seconds: float, trace: int) -> dict:
         fn = batch_trace if trace else batch_run
         metrics, attempted, failed, info = fn(workload, seed, seconds)
     else:
+        import serve
+
         fn = serve_trace if trace else serve_run
-        metrics, attempted, failed, info = fn(seed, seconds)
+        try:
+            metrics, attempted, failed, info = fn(seed, seconds)
+        except serve.CorpusTimeout as exc:
+            metrics, attempted, failed, info = _hung_corpus(exc)
     units = _units()
     spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
     wanted = [m["name"] for m in spec["per_layer" if trace else "end_to_end"]]
@@ -567,18 +643,19 @@ def steady(seconds: float, runs: int) -> int:
     return 0 if agree else 1
 
 
-def pin(seeds: list[int]) -> int:
-    """Recompute ``digests.json``: the first PINNED calls of each seed."""
-    pins: dict[str, dict[str, list[str]]] = {}
-    indices = ",".join(str(index) for index in range(PINNED))
+def pin() -> int:
+    """Recompute ``digests.json``: one record digest per pool base seed."""
+    pins: dict[str, dict[str, str]] = {}
+    indices = ",".join(str(index) for index in range(POOL))
     for name in BATCH:
-        for seed in seeds:
-            proc, _ = _spawn_batch(["--workload", name, "--seed", str(seed), "--calls", indices])
-            calls = _finish(proc)["calls"]
-            if any("error" in call for call in calls):
-                return _fail(f"{name} seed {seed}: a call raised; nothing pinned")
-            pins.setdefault(name, {})[str(seed)] = [call["sha256"] for call in calls]
-            print(f"{name} seed {seed}: {len(calls)} digests", flush=True)
+        proc, _ = _spawn_batch(["--workload", name, "--seed", "0", "--calls", indices])
+        calls = _finish(proc)["calls"]
+        failed = [call for call in calls if "error" in call]
+        if failed:
+            return _fail(f"{name}: {len(failed)} calls failed, e.g. {failed[0]}; nothing pinned")
+        pins[name] = {str(call["base_seed"]): call["sha256"]
+                      for call in sorted(calls, key=lambda call: call["base_seed"])}
+        print(f"{name}: {len(calls)} digests", flush=True)
     DIGESTS.write_text(json.dumps(pins, indent=1) + "\n", encoding="utf-8")
     return 0
 
@@ -587,22 +664,24 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=24.0)
+    parser.add_argument("--seconds", type=float, default=None)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--steady", action="store_true")
     parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--pin", default="", metavar="SEEDS")
+    parser.add_argument("--pin", action="store_true")
     args = parser.parse_args(argv)
     if not (SRC / "repro" / "__init__.py").is_file():
         return _fail(f"no package to benchmark at {SRC / 'repro'}")
     if not BENCHMARK.is_file():
         return _fail(f"missing {BENCHMARK.name}")
+    if args.seconds is None:
+        args.seconds = float(json.loads(BENCHMARK.read_text(encoding="utf-8"))["run_seconds"])
     os.environ.update(sut_env())
     sys.path.insert(0, str(SRC))
     if args.steady:
         return steady(args.seconds, args.runs)
     if args.pin:
-        return pin([int(seed) for seed in args.pin.split(",")])
+        return pin()
     if args.workload is None:
         parser.error("--workload is required")
     try:

@@ -3,6 +3,8 @@
 Each batch workload is one ``replicate_scenario`` call at a stated
 size, repeated for the run's time budget with a fresh base seed per
 call (``call_seed``), so no two calls in a run see the same inputs.
+Base seeds come from a fixed pool of ``POOL`` whose record digests are
+pinned in ``digests.json``, so every call's output is checked.
 The serve workload drives a ``repro serve`` daemon (see ``serve.py``).
 Why each workload exists is in ``BENCHMARK.json`` and ``README.md``.
 """
@@ -10,6 +12,7 @@ Why each workload exists is in ``BENCHMARK.json`` and ``README.md``.
 from __future__ import annotations
 
 import os
+import random
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent
@@ -53,9 +56,19 @@ HASH_SEED = "0"
 REFERENCE_HASH_SEED = "4242"
 
 
+# Base seeds 0 .. POOL-1.  A process makes at most POOL calls, so no
+# input repeats within one; at about 3 s a call a run makes 8-10.
+POOL = 40
+
+
 def call_seed(run_seed: int, index: int) -> int:
-    """The ``base_seed`` of call ``index`` in a run at ``run_seed``."""
-    return run_seed * 1000 + index
+    """The ``base_seed`` of call ``index`` in a run at ``run_seed``.
+
+    Each run seed visits the pool in its own seeded order.
+    """
+    if not 0 <= index < POOL:
+        raise ValueError(f"call index {index} outside the pinned pool of {POOL}")
+    return random.Random(run_seed).sample(range(POOL), POOL)[index]
 
 
 def sut_env(hash_seed: str = HASH_SEED) -> dict[str, str]:
