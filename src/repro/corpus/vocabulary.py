@@ -226,6 +226,17 @@ class WordForge:
             if len(candidate) >= 3 and candidate != word and candidate not in self._seen:
                 self._seen.add(candidate)
                 return candidate
+            if (
+                len(candidate) >= 12
+                and candidate in self._seen
+                and not any(c in substitutions for c in candidate)
+            ):
+                # Dead end: every append would be truncated away and
+                # yield this same taken candidate forever, so overwrite
+                # one character with a digit instead.
+                i = rng.randrange(len(candidate))
+                word = candidate[:i] + rng.choice("0123456789") + candidate[i + 1 :]
+                continue
             # Extremely unlikely collision: perturb again from scratch.
             word = candidate + rng.choice("0123456789")
 

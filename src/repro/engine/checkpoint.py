@@ -23,7 +23,7 @@ from pathlib import Path
 
 from repro.errors import PersistenceError
 from repro.experiments.results import ExperimentRecord
-from repro.storage.io import atomic_write_text
+from repro.osutil import atomic_write_text
 
 __all__ = ["ReplicaStore"]
 

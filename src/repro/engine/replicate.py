@@ -128,9 +128,8 @@ def replicate_scenario(
     because every record is a pure function of its seed the pooled
     output is byte-identical to an uninterrupted run.  When a
     supervision policy is ambient (:func:`repro.engine.supervise.current_policy`)
-    the shared pool is a :class:`~repro.engine.supervise.SupervisedPool`,
-    so worker crashes and hangs inside any replica are retried rather
-    than fatal.
+    the shared pool runs under it, so worker crashes and hangs inside
+    any replica are retried rather than fatal.
     """
     from repro.scenarios import run_scenario  # late: import cycle
 
@@ -206,12 +205,7 @@ def replicate_scenario(
         # keep the workers busy.  Exceeding the pool width buys no
         # further queue depth worth its GIL churn (measured).
         thread_count = min(len(todo), max(2, pool_workers))
-        pool_factory = (
-            (lambda: supervise.SupervisedPool(pool_workers, policy=policy))
-            if policy is not None
-            else (lambda: WorkerPool(pool_workers))
-        )
-        with pool_factory() as pool:
+        with WorkerPool(pool_workers, policy=policy) as pool:
 
             def threaded_replica(index: int) -> tuple[int, ExperimentRecord]:
                 with use_worker_pool(pool), supervise.use_supervision(policy):

@@ -12,9 +12,9 @@ shared, read-only *context* object, and guarantees:
   parent's context object.  The sequential path *is* the parallel path
   minus the process pool, which is what makes equivalence testable;
 * **one context transfer per worker, not per task** — the context
-  (corpus, trained classifiers, attack objects) is shipped through the
-  pool initializer, so a 10-fold sweep pickles the inbox ``min(workers,
-  tasks)`` times, not 10 times.
+  (corpus, trained classifiers, attack objects) is pickled once per
+  map into a blob that workers unpickle once per (worker, map), so a
+  10-fold sweep never pickles the inbox 10 times.
 
 The worker function must be a module-level function (picklable by
 reference) of signature ``fn(context, task) -> result``.  Tasks and
@@ -22,33 +22,33 @@ results cross process boundaries, so they must pickle; everything the
 experiment layer ships (datasets, classifiers, attacks, confusion
 counts) does.
 
-Shared pools
-------------
+One pool, one run path
+----------------------
 
-A plain ``ParallelRunner.map`` owns its pool: it forks workers, runs
-its tasks, and tears the pool down — correct for one experiment, but a
-*replication* (the same scenario at N seeds,
-:mod:`repro.engine.replicate`) would pay pool startup N·(maps per run)
-times and, worse, leave every worker idle while the parent prepares
-the next seed's corpus.  :class:`WorkerPool` is the alternative: one
-persistent process pool that any number of ``map`` calls — issued from
-any number of parent threads — drain into concurrently.  Activating it
-(:func:`use_worker_pool`, thread-local) reroutes every
-``ParallelRunner.map`` on that thread into the shared pool, so fold
-tasks from many seeds interleave in one worker set with no per-seed
-barrier.  Results are unchanged by construction: each ``map`` still
-returns its own results in its own task order, and per-task seeds never
-depend on scheduling.
+Every parallel map runs through :meth:`WorkerPool.run`.  A replication
+(the same scenario at N seeds, :mod:`repro.engine.replicate`) opens one
+persistent pool and activates it per replica thread
+(:func:`use_worker_pool`, thread-local), so fold tasks from many seeds
+interleave in one worker set with no per-seed barrier and no pool
+startup per map.  Without an active pool, a parallel map opens a
+throwaway ``WorkerPool`` sized to its task list and closes it on
+return.
 
-Because one pool serves many ``(fn, context)`` pairs, contexts cannot
-ride the pool initializer.  Instead each ``map`` call pickles its
-``(fn, context)`` pair once into a blob, splits its tasks into
-``min(workers, tasks)`` contiguous chunks, and submits each chunk with
-the blob attached; workers unpickle the pair once per (worker,
-map-call) and serve the rest of the call from a small cache.  Context
-transfer count therefore matches the private-pool initializer path
-exactly, while chunks from concurrent calls still interleave freely in
-the shared worker set.
+``run`` pickles ``(fn, context)`` once, splits the tasks into
+``min(workers, tasks)`` contiguous chunks and submits each chunk with
+the blob attached under a fresh call token; workers cache the
+unpickled pair per token and serve the rest of the call from that
+cache.  Because every worker gets a by-value copy, nothing a worker
+does can reach the parent's live state — an on-disk token table
+included.  Each map still returns its own results in its own task
+order, and per-task seeds never depend on scheduling.
+
+A pool built with a :class:`~repro.engine.supervise.SupervisePolicy`
+survives its workers: crashes, missed deadlines and lost shared-memory
+segments respawn the worker set and retry the unfinished chunks, then
+degrade to inline execution (see :mod:`repro.engine.supervise`).
+Without a policy the first such failure raises
+:class:`~repro.errors.WorkerCrashError`.
 """
 
 from __future__ import annotations
@@ -56,13 +56,16 @@ from __future__ import annotations
 import os
 import pickle
 import threading
+import time
 from collections import OrderedDict
-from concurrent.futures import Executor, ProcessPoolExecutor, as_completed, wait
+from concurrent.futures import Executor, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from repro.engine import faults, sharedmem
-from repro.errors import EngineError
+from repro.engine.supervise import SupervisePolicy, SuperviseStats, current_policy
+from repro.errors import EngineError, MapTimeoutError, SegmentLostError, WorkerCrashError
 
 __all__ = [
     "ParallelRunner",
@@ -75,22 +78,6 @@ __all__ = [
 TaskT = TypeVar("TaskT")
 ResultT = TypeVar("ResultT")
 
-# Per-worker-process slots, populated once by the pool initializer.
-_worker_fn: Callable[[Any, Any], Any] | None = None
-_worker_context: Any = None
-
-
-def _initialize_worker(fn: Callable[[Any, Any], Any], context: Any) -> None:
-    global _worker_fn, _worker_context
-    _worker_fn = fn
-    _worker_context = context
-    faults.mark_worker_process()
-
-
-def _run_indexed_task(index: int, task: Any) -> tuple[int, Any]:
-    assert _worker_fn is not None, "worker used before initialization"
-    return index, _worker_fn(_worker_context, task)
-
 
 def resolve_workers(workers: int | None) -> int:
     """Normalize a ``--workers`` value: ``None``/``0`` means all CPUs."""
@@ -102,7 +89,7 @@ def resolve_workers(workers: int | None) -> int:
 
 
 # ----------------------------------------------------------------------
-# The shared worker pool
+# The worker pool
 # ----------------------------------------------------------------------
 
 # Worker-side cache of unpickled (fn, context) pairs, keyed by map-call
@@ -130,6 +117,7 @@ def _run_shared_chunk(
     tasks: Sequence[Any],
     fault_key: str | None = None,
 ) -> tuple[int, list[Any]]:
+    """Run one chunk of a map call: the only function workers execute."""
     entry = _shared_entries.get(token)
     if entry is None:
         entry = pickle.loads(blob)
@@ -151,22 +139,6 @@ def _run_shared_chunk(
     return start, results
 
 
-def _run_direct_blob(blob: bytes, task: Any) -> Any:
-    """Run one task shipped without the chunk-blob caching protocol.
-
-    Tiny maps (a single task) skip the per-call-token worker cache:
-    the ``(fn, context)`` blob the parent already pickled (to size the
-    ship/inline decision) rides the submit once and is unpickled once,
-    instead of being shipped, cached and evicted under a call token.
-    Computes the exact same ``fn(context, task)`` as every other path.
-    """
-    fn, context = pickle.loads(blob)
-    return fn(context, task)
-
-
-# Maps with at most this many tasks skip the chunk-blob protocol.
-_TINY_MAP_TASKS = 1
-
 # A tiny map ships to the pool only while its (fn, context) pickle
 # stays under this; past it, shipping moves more bytes than the lone
 # task can plausibly amortize.
@@ -174,7 +146,7 @@ _TINY_MAP_SHIP_LIMIT = 4 << 20
 
 
 def _tiny_map_ships(blob_size: int) -> bool:
-    """Should a tiny (single-task) map ship to the shared pool at all?
+    """Should an unsupervised single-task map ship to the pool at all?
 
     A lone task gains nothing from the pool *by itself* — the win is
     concurrency with other threads' maps (each replica of a stream
@@ -191,8 +163,9 @@ def _tiny_map_ships(blob_size: int) -> bool:
 
     Inline execution computes the identical ``fn(context, task)`` —
     records are byte-identical either way, which
-    ``tests/test_engine.py`` pins by monkeypatching this predicate in
-    both directions.
+    ``tests/test_replication.py`` pins by monkeypatching this predicate
+    in both directions.  Supervised maps always ship: their retry and
+    fault accounting lives in the pool.
     """
     if (os.cpu_count() or 1) < 2:
         return False
@@ -261,35 +234,62 @@ def _kill_executor(executor: Executor) -> None:
             pass
 
 
+# What an unsupervised pool runs under: no deadline, no retry, and the
+# first infrastructure failure raises.
+_UNSUPERVISED = SupervisePolicy(retries=0, degrade=False)
+
+
+def _provenance(fn: Callable, chunk: Sequence[Any]) -> str:
+    """A short, re-runnable description of a chunk's first task."""
+    text = f"{fn.__module__}.{fn.__qualname__}({chunk[0]!r})"
+    return text if len(text) <= 160 else text[:157] + "..."
+
+
 class WorkerPool:
-    """A persistent process pool shared by many ``map`` calls.
+    """A process pool that any number of ``map`` calls drain into.
 
-    Create one, activate it per thread with :func:`use_worker_pool`,
-    and every ``ParallelRunner.map`` issued on that thread routes into
-    it instead of forking a private pool.  The pool outlives any single
-    ``map``, which is the point: concurrent maps (one per replica
-    thread of a replication) keep all workers busy across the gaps
-    where a single experiment would be doing parent-side preparation.
+    Activate one per thread with :func:`use_worker_pool` and every
+    ``ParallelRunner.map`` issued on that thread routes into it; the
+    pool outlives any single ``map``, which is the point: concurrent
+    maps (one per replica thread of a replication) keep all workers
+    busy across the gaps where a single experiment would be doing
+    parent-side preparation.  ``ParallelRunner.map`` also opens a
+    throwaway one for a parallel map with no pool active.
 
-    Results are identical to private-pool (and sequential) execution:
-    each call's results come back in its own task order, and nothing a
-    worker computes depends on which pool ran it.
+    ``policy`` selects supervision (see :mod:`repro.engine.supervise`):
+    with one, ``run`` survives crashed, wedged and segment-less workers
+    by respawning the worker set and retrying the unfinished chunks;
+    with ``None`` the first such failure raises
+    :class:`~repro.errors.WorkerCrashError`.  ``stats`` counts what the
+    pool had to recover from either way.
+
+    Results are identical to sequential execution: each call's results
+    come back in its own task order, and nothing a worker computes
+    depends on which pool ran it.  Shared by concurrent threads,
+    recovery is too: when one thread's wave breaks the executor, the
+    generation check in :meth:`respawn` ensures exactly one thread pays
+    the respawn and the others retry into the new worker set.
     """
 
-    def __init__(self, workers: int | None = None) -> None:
+    def __init__(
+        self, workers: int | None = None, policy: SupervisePolicy | None = None
+    ) -> None:
         self.workers = resolve_workers(workers)
         if self.workers < 2:
             raise EngineError(
-                f"a shared WorkerPool needs >= 2 workers, got {self.workers}; "
+                f"a WorkerPool needs >= 2 workers, got {self.workers}; "
                 "run sequentially instead"
             )
+        self.policy = policy
+        self.stats = SuperviseStats()
         self._executor: Executor = self._spawn_executor()
         self._lock = threading.Lock()
         self._next_token = 0
+        self._map_seq = 0
         self._closed = False
-        # Bumped on every respawn: a supervised map that saw the pool
-        # break hands its generation back, so concurrent threads that
-        # hit the same broken executor trigger exactly one respawn.
+        # Bumped on every respawn: a map that saw the pool break hands
+        # its generation back, so concurrent threads that hit the same
+        # broken executor trigger exactly one respawn.
         self._generation = 0
         # Shared-memory corpus segments whose lifetime is tied to this
         # pool: adopted on the first map call that ships them, unlinked
@@ -363,14 +363,15 @@ class WorkerPool:
         context: Any,
         tasks: Sequence[TaskT],
     ) -> list[ResultT]:
-        """One ``map`` call's worth of tasks through the shared pool.
+        """One ``map`` call's worth of tasks through the pool.
 
         The ``(fn, context)`` pair is pickled exactly once; the tasks
-        go out as ``min(workers, tasks)`` contiguous chunks carrying
-        the blob (workers cache the unpickled pair per call token, so
-        the unpickle cost is once per worker, like the initializer
-        path).  A chunk exception propagates and cancels this call's
-        remaining chunks — other concurrent calls are untouched.
+        go out in dispatch waves of ``min(workers, tasks)`` contiguous
+        chunks carrying the blob.  Completed chunks are recorded as
+        they finish, so work survives a respawn and a retry wave
+        resubmits only the chunks still open.  An application
+        exception is deterministic: it drains this call's chunks and
+        propagates unretried — other concurrent calls are untouched.
         """
         if self._closed:
             raise EngineError("WorkerPool is closed")
@@ -378,37 +379,165 @@ class WorkerPool:
         if not tasks:
             return []
         self._adopt_segments(context)
-        if len(tasks) <= _TINY_MAP_TASKS:
-            blob = pickle.dumps((fn, context), protocol=pickle.HIGHEST_PROTOCOL)
-            if not _tiny_map_ships(len(blob)):
-                # Stay inline: on this hardware (or at this context
-                # size) the pool cannot pay for the transfer.  Same
-                # deterministic computation, same records.
-                return [fn(context, task) for task in tasks]
-            futures = [
-                self._executor.submit(_run_direct_blob, blob, task)
-                for task in tasks
-            ]
-            try:
-                return [future.result() for future in futures]
-            except BaseException:
-                _drain(futures)
-                raise
-        token = self._token()
         blob = pickle.dumps((fn, context), protocol=pickle.HIGHEST_PROTOCOL)
-        futures = [
-            self._executor.submit(_run_shared_chunk, token, blob, start, chunk)
-            for start, chunk in _chunked(tasks, self.workers)
-        ]
+        if len(tasks) == 1 and self.policy is None and not _tiny_map_ships(len(blob)):
+            # The one inline choice: an unsupervised lone task whose
+            # shipping cannot pay on this hardware (or at this context
+            # size).  Same deterministic computation, same records.
+            return [fn(context, task) for task in tasks]
+        policy = self.policy or _UNSUPERVISED
+        # Fault keys exist only under supervision: injected faults must
+        # fire where a supervisor recovers them, never in the clean
+        # reference an unsupervised run is.
+        map_seq = None
+        if self.policy is not None:
+            with self._lock:
+                map_seq = self._map_seq
+                self._map_seq += 1
         results: list[Any] = [None] * len(tasks)
-        try:
-            for future in as_completed(futures):
-                start, chunk_results = future.result()
-                results[start : start + len(chunk_results)] = chunk_results
-        except BaseException:
-            _drain(futures)
-            raise
+        pending = list(_chunked(tasks, self.workers))
+        attempt = 0
+        while pending:
+            if map_seq is not None:
+                self._maybe_drop_segment(f"{map_seq}:{attempt}")
+            open_starts, kind, cause, generation = self._dispatch_wave(
+                map_seq, attempt, blob, pending, results
+            )
+            pending = [entry for entry in pending if entry[0] in open_starts]
+            if not pending:
+                break
+            self.stats.bump(
+                {"crash": "crashes", "timeout": "timeouts", "segment": "segment_losses"}[kind]
+            )
+            if kind in ("crash", "timeout"):
+                # Crash: the executor is broken.  Timeout: workers are
+                # presumed wedged and must die.  Either way the pool
+                # needs a fresh worker set; segment loss leaves the
+                # (healthy) workers alone.
+                if self.respawn(generation):
+                    self.stats.bump("respawns")
+            attempt += 1
+            if attempt <= policy.retries:
+                self.stats.bump("retried_chunks", len(pending))
+                continue
+            if policy.degrade:
+                # Retries exhausted: finish the map in-process, the
+                # sequential reference path.  Worker-side fault sites
+                # don't fire in the parent, so this always terminates.
+                self.stats.bump("degraded_chunks", len(pending))
+                for start, chunk in pending:
+                    inline = [fn(context, task) for task in chunk]
+                    results[start : start + len(inline)] = inline
+                break
+            starts = tuple(start for start, _ in pending)
+            provenance = _provenance(fn, pending[0][1])
+            if kind == "timeout":
+                raise MapTimeoutError(
+                    f"map chunks missed their {policy.timeout:g}s deadline "
+                    f"and the retry budget ({policy.retries}) is exhausted",
+                    chunk_starts=starts,
+                    attempts=attempt,
+                    provenance=provenance,
+                )
+            detail = (
+                "worker process died (pool broke)"
+                if kind == "crash"
+                else f"shared-memory segment lost: {cause}"
+            )
+            raise WorkerCrashError(
+                f"{detail}; retry budget ({policy.retries}) is exhausted",
+                chunk_starts=starts,
+                attempts=attempt,
+                provenance=provenance,
+            ) from cause
         return results
+
+    def _dispatch_wave(
+        self,
+        map_seq: int | None,
+        attempt: int,
+        blob: bytes,
+        pending: list[tuple[int, Sequence[Any]]],
+        results: list[Any],
+    ) -> tuple[set[int], str, BaseException | None, int]:
+        """Submit ``pending`` once; record completions into ``results``.
+
+        Returns the set of chunk starts still open, the failure class
+        that left them open (``crash``/``timeout``/``segment``), its
+        cause, and the executor generation the wave ran on.
+        Application exceptions are not failures in this sense — they
+        are deterministic outcomes, so the wave drains and re-raises
+        immediately, retrying nothing.
+        """
+        # Fresh token per wave: a retried chunk must unpickle a
+        # pristine (fn, context), never one a previous attempt mutated.
+        token = self._token()
+        generation = self.generation
+        open_starts = {start for start, _ in pending}
+        futures = {}
+        kind, cause = None, None
+        try:
+            for start, chunk in pending:
+                fault_key = None if map_seq is None else f"{map_seq}:{start}:{attempt}"
+                futures[
+                    self._executor.submit(
+                        _run_shared_chunk, token, blob, start, chunk, fault_key
+                    )
+                ] = start
+        except (BrokenProcessPool, RuntimeError) as exc:
+            # The executor broke (or was shut down by a concurrent
+            # respawn race) before the wave was fully submitted.
+            kind, cause = "crash", exc
+        timeout = (self.policy or _UNSUPERVISED).timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
+        remaining = set(futures)
+        try:
+            while remaining:
+                wait_for = (
+                    None if deadline is None else max(0.0, deadline - time.monotonic())
+                )
+                done, remaining = wait(remaining, timeout=wait_for)
+                if not done:
+                    kind = kind or "timeout"
+                    break
+                app_error: BaseException | None = None
+                for future in done:
+                    start = futures[future]
+                    try:
+                        chunk_start, chunk_results = future.result()
+                    except BrokenProcessPool as exc:
+                        if kind is None:
+                            kind, cause = "crash", exc
+                    except SegmentLostError as exc:
+                        if kind is None:
+                            kind, cause = "segment", exc
+                    except BaseException as exc:
+                        app_error = app_error or exc
+                    else:
+                        results[chunk_start : chunk_start + len(chunk_results)] = (
+                            chunk_results
+                        )
+                        open_starts.discard(start)
+                if app_error is not None:
+                    # Deterministic task failure: it would fail
+                    # identically on any retry, so surface it as-is.
+                    raise app_error
+        except BaseException:
+            # An app error or an interrupt: drain the siblings so none
+            # keeps running unattended.
+            _drain(list(futures))
+            raise
+        return open_starts, kind or "crash", cause, generation
+
+    def _maybe_drop_segment(self, key: str) -> None:
+        """The parent-side ``shm-unlink`` injection point."""
+        if not faults.should_unlink(key):
+            return
+        with self._lock:
+            names = sorted(self._adopted_segments)
+        for name in names:
+            if sharedmem.drop_segment_name(name):
+                break
 
     def _adopt_segments(self, context: Any) -> None:
         """Tie any shared-memory corpora in ``context`` to this pool."""
@@ -468,18 +597,14 @@ def use_worker_pool(pool: WorkerPool | None) -> Iterator[WorkerPool | None]:
         _active_pool.pool = previous
 
 
-def _current_pool() -> WorkerPool | None:
-    return getattr(_active_pool, "pool", None)
-
-
 def active_worker_pool() -> WorkerPool | None:
-    """The shared pool routing this thread's maps, if any.
+    """The pool routing this thread's maps, if any.
 
     Lets callers that prepare expensive per-map state (shared-memory
     corpora, say) know whether their context will cross process
     boundaries — and who will own the published segments' lifetime.
     """
-    return _current_pool()
+    return getattr(_active_pool, "pool", None)
 
 
 class ParallelRunner:
@@ -496,70 +621,28 @@ class ParallelRunner:
     ) -> list[ResultT]:
         """Run every task; return results in task order.
 
-        A worker exception propagates to the caller (with the original
-        traceback rendered by ``concurrent.futures``) and cancels every
+        Inline when ``workers <= 1``, or when no pool is active and
+        there is at most one task (a pool for one task would pay a fork
+        for nothing).  Otherwise the tasks run through
+        :meth:`WorkerPool.run`: the pool active on this thread
+        (:func:`use_worker_pool`) — even a lone task ships there, which
+        frees a replica thread so whole-stream protocols run truly
+        concurrently — or else a throwaway pool sized to the task list,
+        supervised when a policy is ambient (CLI flags,
+        ``REPRO_TIMEOUT``/``REPRO_RETRIES``, or a fault plan).
+
+        A worker exception propagates to the caller and cancels every
         task still queued, so a failed sweep dies promptly instead of
         burning through the rest of the fan-out first.
-
-        When a shared :class:`WorkerPool` is active on this thread
-        (:func:`use_worker_pool`) and this runner would have gone
-        parallel, the tasks drain into the shared pool instead of a
-        private one — same results, no pool startup, and idle shared
-        workers can pick the tasks up immediately.
         """
         tasks = list(tasks)
-        if self.workers <= 1:
+        pool = active_worker_pool()
+        if self.workers <= 1 or (pool is None and len(tasks) <= 1):
             return [fn(context, task) for task in tasks]
-        pool = _current_pool()
         if pool is not None:
-            # Even a single task routes to the shared pool: it frees
-            # this (replica) thread's slot in the parent process, which
-            # is what lets whole-stream protocols — one sequential task
-            # per run — execute truly concurrently across replicas.
             return pool.run(fn, context, tasks)
-        if len(tasks) <= 1:
-            # A private pool for one task would pay a fork for nothing.
-            return [fn(context, task) for task in tasks]
-        # Supervision (timeouts/retries/fault tolerance) is ambient:
-        # when a policy is active — CLI flags, REPRO_TIMEOUT/RETRIES,
-        # or a fault plan — private-pool maps run supervised too.
-        # Imported lazily; supervise imports this module.
-        from repro.engine import supervise
-
-        if supervise.current_policy() is not None:
-            return supervise.supervised_map(fn, context, tasks, self.workers)
-        # Fork-started workers inherit ``initargs`` by memory, not by
-        # pickle — a disk-backed context would hand every worker the
-        # parent's *live* SQLite token table and MAP_SHARED count
-        # columns, so sibling interns collide and worker-side learning
-        # bleeds across processes.  A pickle roundtrip first gives
-        # workers the same independent by-value copies the shared-pool
-        # path ships (DiskTokenTable reduces to a plain in-memory
-        # table); memory-backend contexts skip the copy.
-        from repro.storage import store_name
-
-        if store_name() == "disk":
-            context = pickle.loads(pickle.dumps(context))
-        results: list[Any] = [None] * len(tasks)
-        max_workers = min(self.workers, len(tasks))
-        with ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_initialize_worker,
-            initargs=(fn, context),
-        ) as executor:
-            futures = [
-                executor.submit(_run_indexed_task, index, task)
-                for index, task in enumerate(tasks)
-            ]
-            try:
-                for future in as_completed(futures):
-                    index, result = future.result()
-                    results[index] = result
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
-        return results
+        with WorkerPool(min(self.workers, len(tasks)), policy=current_policy()) as pool:
+            return pool.run(fn, context, tasks)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ParallelRunner(workers={self.workers})"

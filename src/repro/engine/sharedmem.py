@@ -58,6 +58,7 @@ except ImportError:  # pragma: no cover
     _resource_tracker = None  # type: ignore[assignment]
 
 from repro.errors import EngineError, SegmentLostError
+from repro.osutil import pid_alive
 
 __all__ = [
     "InlineCorpus",
@@ -431,14 +432,6 @@ def _pid_of_segment(name: str) -> int | None:
         return None
 
 
-def _pid_alive(pid: int) -> bool:
-    # Shared with the storage layer's on-disk store janitor: both
-    # decide orphan-ness from a pid baked into a resource name.
-    from repro.storage.base import pid_alive
-
-    return pid_alive(pid)
-
-
 def orphaned_segments(include_live: bool = False) -> list[str]:
     """Stale ``repro_shm_*`` names under ``/dev/shm``, sorted.
 
@@ -456,7 +449,7 @@ def orphaned_segments(include_live: bool = False) -> list[str]:
         pid = _pid_of_segment(name)
         if pid is None or pid == os.getpid():
             continue
-        if include_live or not _pid_alive(pid):
+        if include_live or not pid_alive(pid):
             stale.append(name)
     return sorted(stale)
 

@@ -1,12 +1,15 @@
 """Worker supervision: deadlines, crash detection, bounded retry,
 graceful degradation.
 
-:class:`~repro.engine.runner.WorkerPool` is fast but trusting: one
-dead worker breaks the executor and the whole map dies; one wedged
-worker blocks it forever.  This module wraps the pool in the
+An unsupervised :class:`~repro.engine.runner.WorkerPool` is trusting:
+one dead worker breaks the executor and the map raises
+:class:`~repro.errors.WorkerCrashError`; one wedged worker blocks it
+forever.  A :class:`SupervisePolicy` handed to the pool applies the
 discipline long-lived mail systems apply to their children —
 supervise, respawn, retry, and when all else fails do the work
-yourself:
+yourself.  This module holds the policy, its ambient resolution and
+the :class:`SuperviseStats` ledger; the wave loop that enforces it is
+:meth:`WorkerPool.run <repro.engine.runner.WorkerPool.run>`:
 
 * **Deadlines** — each dispatch wave of chunks gets
   ``policy.timeout`` seconds; chunks that miss it are presumed wedged,
@@ -14,13 +17,13 @@ yourself:
   worker set.
 * **Crash detection** — a worker that dies mid-chunk (segfault,
   OOM-kill, injected ``os._exit``) breaks the executor
-  (``BrokenProcessPool``); the supervisor respawns the pool and
-  retries only the chunks that never completed.
+  (``BrokenProcessPool``); the pool respawns its workers and retries
+  only the chunks that never completed.
 * **Chunk-level accounting** — results are recorded per chunk as
   chunks finish, so completed work *survives* a respawn; a crash at
   90% re-runs 10%.
 * **Bounded retry, then degradation** — after ``policy.retries``
-  respawn-and-retry rounds, the supervisor runs the remaining chunks
+  respawn-and-retry rounds, the pool runs the remaining chunks
   inline, sequentially, in the parent process (``policy.degrade``,
   default on) — slower, but always terminates with correct results.
   With degradation off it raises
@@ -58,45 +61,28 @@ thread-locally (the CLI's ``--timeout``/``--retries`` path), and the
 environment supplies a default (``REPRO_TIMEOUT``, ``REPRO_RETRIES``,
 ``REPRO_DEGRADE`` — and merely setting ``REPRO_FAULTS`` activates
 supervision, because injected faults without a supervisor would just
-be crashes).  When no policy is active the engine behaves exactly as
-before this layer existed.
+be crashes).  ``ParallelRunner.map`` hands the ambient policy to the
+throwaway pool it opens; a replication hands it to its shared pool.
+With no policy active, pools run unsupervised and inject no faults.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import threading
-import time
-from concurrent.futures import wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Iterator
 
-from repro.engine import faults, sharedmem
-from repro.engine.runner import (
-    WorkerPool,
-    _chunked,
-    _drain,
-    _run_shared_chunk,
-    resolve_workers,
-)
-from repro.errors import (
-    EngineError,
-    MapTimeoutError,
-    SegmentLostError,
-    WorkerCrashError,
-)
+from repro.engine import faults
+from repro.errors import EngineError
 
 __all__ = [
     "DEFAULT_RETRIES",
     "SupervisePolicy",
     "SuperviseStats",
-    "SupervisedPool",
     "current_policy",
     "policy_from_env",
-    "supervised_map",
     "use_supervision",
 ]
 
@@ -237,241 +223,3 @@ def current_policy() -> SupervisePolicy | None:
     if override is not _UNSET:
         return override
     return policy_from_env()
-
-
-# ----------------------------------------------------------------------
-# The supervised pool
-# ----------------------------------------------------------------------
-
-
-def _provenance(fn: Callable, chunk: Sequence[Any]) -> str:
-    """A short, re-runnable description of a chunk's first task."""
-    text = f"{fn.__module__}.{fn.__qualname__}({chunk[0]!r})"
-    return text if len(text) <= 160 else text[:157] + "..."
-
-
-class SupervisedPool(WorkerPool):
-    """A :class:`WorkerPool` whose maps survive their workers.
-
-    Drop-in for ``WorkerPool`` everywhere (``use_worker_pool`` routing
-    included): ``run`` returns the same results — it just refuses to
-    die with its workers.  Every map, tiny or not, goes through the
-    chunk protocol so that chunk accounting and retry apply uniformly.
-
-    Shared by concurrent replica threads like its parent class;
-    recovery is too: when one thread's wave breaks the executor, the
-    generation check in :meth:`WorkerPool.respawn` ensures exactly one
-    thread pays the respawn and the others simply retry into the new
-    worker set.
-    """
-
-    def __init__(
-        self, workers: int | None = None, policy: SupervisePolicy | None = None
-    ) -> None:
-        super().__init__(workers)
-        if policy is None:
-            policy = current_policy() or SupervisePolicy()
-        self.policy = policy
-        self.stats = SuperviseStats()
-        self._map_seq = 0
-
-    def run(
-        self,
-        fn: Callable[[Any, Any], Any],
-        context: Any,
-        tasks: Sequence[Any],
-    ) -> list[Any]:
-        if self._closed:
-            raise EngineError("WorkerPool is closed")
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        self._adopt_segments(context)
-        with self._lock:
-            map_seq = self._map_seq
-            self._map_seq += 1
-        policy = self.policy
-        blob = pickle.dumps((fn, context), protocol=pickle.HIGHEST_PROTOCOL)
-        results: list[Any] = [None] * len(tasks)
-        pending: list[tuple[int, Sequence[Any]]] = list(
-            _chunked(tasks, self.workers)
-        )
-        attempt = 0
-        while pending:
-            self._maybe_drop_segment(f"{map_seq}:{attempt}")
-            failure = self._dispatch_wave(
-                map_seq, attempt, blob, pending, results
-            )
-            pending = [entry for entry in pending if entry[0] in failure.open_starts]
-            if not pending:
-                break
-            kind, cause = failure.kind, failure.cause
-            self.stats.bump(
-                {"crash": "crashes", "timeout": "timeouts", "segment": "segment_losses"}[kind]
-            )
-            if kind in ("crash", "timeout"):
-                # Crash: the executor is broken.  Timeout: workers are
-                # presumed wedged and must die.  Either way the chunks
-                # retry on a fresh worker set; segment loss leaves the
-                # (healthy) workers alone.
-                if self.respawn(failure.generation):
-                    self.stats.bump("respawns")
-            attempt += 1
-            if attempt <= policy.retries:
-                self.stats.bump("retried_chunks", len(pending))
-                continue
-            if policy.degrade:
-                # Retries exhausted: finish the map in-process, the
-                # sequential reference path.  Worker-side fault sites
-                # don't fire in the parent, so this always terminates.
-                self.stats.bump("degraded_chunks", len(pending))
-                for start, chunk in pending:
-                    inline = [fn(context, task) for task in chunk]
-                    results[start : start + len(inline)] = inline
-                pending = []
-                break
-            starts = tuple(start for start, _ in pending)
-            provenance = _provenance(fn, pending[0][1])
-            if kind == "timeout":
-                raise MapTimeoutError(
-                    f"map chunks missed their {policy.timeout:g}s deadline "
-                    f"and the retry budget ({policy.retries}) is exhausted",
-                    chunk_starts=starts,
-                    attempts=attempt,
-                    provenance=provenance,
-                )
-            detail = (
-                "worker process died (pool broke)"
-                if kind == "crash"
-                else f"shared-memory segment lost: {cause}"
-            )
-            raise WorkerCrashError(
-                f"{detail}; retry budget ({policy.retries}) is exhausted",
-                chunk_starts=starts,
-                attempts=attempt,
-                provenance=provenance,
-            ) from cause
-        return results
-
-    # -- one dispatch wave -------------------------------------------
-
-    class _WaveFailure:
-        """What a wave left unfinished, and why."""
-
-        __slots__ = ("open_starts", "kind", "cause", "generation")
-
-        def __init__(self, open_starts, kind, cause, generation):
-            self.open_starts = open_starts
-            self.kind = kind
-            self.cause = cause
-            self.generation = generation
-
-    def _dispatch_wave(
-        self,
-        map_seq: int,
-        attempt: int,
-        blob: bytes,
-        pending: list[tuple[int, Sequence[Any]]],
-        results: list[Any],
-    ) -> "_WaveFailure":
-        """Submit ``pending`` once; record completions into ``results``.
-
-        Returns the set of chunk starts still open plus the failure
-        class that left them open (``crash``/``timeout``/``segment``).
-        Application exceptions are not failures in this sense — they
-        are deterministic outcomes, so the wave drains and re-raises
-        immediately, retrying nothing.
-        """
-        # Fresh token per wave: a retried chunk must unpickle a
-        # pristine (fn, context), never one a previous attempt mutated.
-        token = self._token()
-        generation = self.generation
-        open_starts = {start for start, _ in pending}
-        futures = {}
-        kind, cause = None, None
-        try:
-            for start, chunk in pending:
-                fault_key = f"{map_seq}:{start}:{attempt}"
-                futures[
-                    self._executor.submit(
-                        _run_shared_chunk, token, blob, start, chunk, fault_key
-                    )
-                ] = start
-        except (BrokenProcessPool, RuntimeError) as exc:
-            # The executor broke (or was shut down by a concurrent
-            # respawn race) before the wave was fully submitted.
-            kind, cause = "crash", exc
-        deadline = (
-            None
-            if self.policy.timeout is None
-            else time.monotonic() + self.policy.timeout
-        )
-        app_error: BaseException | None = None
-        remaining = set(futures)
-        while remaining:
-            wait_for = (
-                None if deadline is None else max(0.0, deadline - time.monotonic())
-            )
-            done, remaining = wait(remaining, timeout=wait_for)
-            if not done:
-                kind, cause = kind or "timeout", cause
-                break
-            for future in done:
-                start = futures[future]
-                try:
-                    chunk_start, chunk_results = future.result()
-                except BrokenProcessPool as exc:
-                    if kind is None:
-                        kind, cause = "crash", exc
-                except SegmentLostError as exc:
-                    if kind is None:
-                        kind, cause = "segment", exc
-                except BaseException as exc:
-                    app_error = app_error or exc
-                else:
-                    results[chunk_start : chunk_start + len(chunk_results)] = (
-                        chunk_results
-                    )
-                    open_starts.discard(start)
-            if app_error is not None:
-                break
-        if app_error is not None:
-            # Deterministic task failure: it would fail identically on
-            # any retry.  Drain the siblings and surface it as-is.
-            _drain(list(futures))
-            raise app_error
-        return self._WaveFailure(open_starts, kind or "crash", cause, generation)
-
-    def _maybe_drop_segment(self, key: str) -> None:
-        """The parent-side ``shm-unlink`` injection point."""
-        if not faults.should_unlink(key):
-            return
-        with self._lock:
-            names = sorted(self._adopted_segments)
-        for name in names:
-            if sharedmem.drop_segment_name(name):
-                break
-
-
-def supervised_map(
-    fn: Callable[[Any, Any], Any],
-    context: Any,
-    tasks: Sequence[Any],
-    workers: int | None,
-    policy: SupervisePolicy | None = None,
-) -> list[Any]:
-    """One private map under supervision (the non-shared-pool path).
-
-    What ``ParallelRunner.map`` routes into when a policy is ambient
-    and no shared pool is active: a throwaway :class:`SupervisedPool`
-    sized to the task list.  Falls back to inline execution when the
-    map couldn't go parallel anyway.
-    """
-    tasks = list(tasks)
-    if policy is None:
-        policy = current_policy()
-    pool_workers = min(resolve_workers(workers), len(tasks))
-    if policy is None or pool_workers < 2 or len(tasks) < 2:
-        return [fn(context, task) for task in tasks]
-    with SupervisedPool(pool_workers, policy=policy) as pool:
-        return pool.run(fn, context, tasks)

@@ -90,7 +90,7 @@ def save_classifier(classifier: Classifier, path: str | Path) -> None:
     Gzip-by-suffix (case-insensitive, on save *and* load — a dump
     written to ``model.json.GZ`` must come back through the same
     codec) and atomic replacement both live in
-    :mod:`repro.storage.io`, shared with every other save path.
+    :mod:`repro.storage.io`.
     """
     path = Path(path)
     payload = json.dumps(classifier_to_dict(classifier), separators=(",", ":"))

@@ -47,6 +47,7 @@ import atexit
 import os
 
 from repro.errors import ConfigurationError
+from repro.osutil import pid_alive
 
 __all__ = [
     "STORE_DIR_ENV",
@@ -80,21 +81,6 @@ def store_name() -> str:
             f"{STORE_ENV} must be 'memory', 'disk' or 'auto', got {value!r}"
         )
     return value
-
-
-def pid_alive(pid: int) -> bool:
-    """True when a process with ``pid`` exists (signal-0 probe).
-
-    Shared by every janitor that decides orphan-ness from a pid baked
-    into a resource name (shared-memory segments, on-disk stores).
-    """
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - exists, owned elsewhere
-        return True
-    return True
 
 
 class StorageBackend:

@@ -1,13 +1,14 @@
-"""Shared file-payload helpers for every save/load path.
+"""Shared file-payload helpers for the model save/load paths.
 
-One place for the two concerns persistence and checkpointing used to
-duplicate:
+Two concerns in one place:
 
 * **gzip-by-suffix** — a ``.gz`` path is transparently compressed on
   write and decompressed on read, same text semantics either way;
 * **atomic replace** — payloads land via a temporary sibling +
   ``os.replace`` so a crash mid-write can never leave a truncated
-  file where a reader expects a complete one.
+  file where a reader expects a complete one (plain-text payloads go
+  through :func:`repro.osutil.atomic_write_text`, which checkpoints
+  use directly).
 
 Helpers raise ``OSError`` (and ``gzip`` errors, which subclass it);
 callers wrap into their own error taxonomy (``PersistenceError``).
@@ -19,8 +20,9 @@ import gzip
 import os
 from pathlib import Path
 
+from repro.osutil import atomic_write_text
+
 __all__ = [
-    "atomic_write_text",
     "is_gzip_path",
     "read_payload_text",
     "write_payload_text",
@@ -51,31 +53,17 @@ def write_payload_text(path: Path, text: str) -> None:
     ``os.replace`` keeps the swap atomic on POSIX.
     """
     path = Path(path)
+    if not is_gzip_path(path):
+        atomic_write_text(path, text)
+        return
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     try:
-        if is_gzip_path(path):
-            # mtime=0 and an empty embedded filename keep the
-            # compressed payload deterministic: the same classifier
-            # state always produces the same bytes, whatever the path.
-            with open(tmp, "wb") as raw:
-                with gzip.GzipFile(
-                    filename="", fileobj=raw, mode="wb", mtime=0
-                ) as handle:
-                    handle.write(text.encode(_ENCODING))
-        else:
-            tmp.write_text(text, encoding=_ENCODING)
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():  # pragma: no cover - only on a failed write
-            tmp.unlink()
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    """Plain-text atomic write (no gzip branch) for checkpoints."""
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    try:
-        tmp.write_text(text, encoding=_ENCODING)
+        # mtime=0 and an empty embedded filename keep the compressed
+        # payload deterministic: the same classifier state always
+        # produces the same bytes, whatever the path.
+        with open(tmp, "wb") as raw:
+            with gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0) as handle:
+                handle.write(text.encode(_ENCODING))
         os.replace(tmp, path)
     finally:
         if tmp.exists():  # pragma: no cover - only on a failed write

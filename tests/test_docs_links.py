@@ -8,6 +8,7 @@ suite — not just the ``make docs-check`` target.
 from __future__ import annotations
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -26,6 +27,17 @@ def _load_checker():
 def test_docs_references_resolve(capsys):
     checker = _load_checker()
     assert checker.main() == 0, capsys.readouterr().out
+
+
+def test_readme_library_quickstart_runs(capsys):
+    """The README's "library equivalent" block executes as written."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    match = re.search(
+        r"The library equivalent:\s*```python\n(.*?)```", readme, re.DOTALL
+    )
+    assert match, "README lost its library quick-start block"
+    exec(compile(match.group(1), "README.md", "exec"), {})
+    assert "ClassifiedMessage" in capsys.readouterr().out
 
 
 def test_checker_flags_broken_references(tmp_path):

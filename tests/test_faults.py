@@ -4,10 +4,12 @@ Four layers:
 
 * :mod:`repro.engine.faults` — spec parsing, deterministic hash
   draws, site gating, worker-only firing;
-* :class:`repro.engine.supervise.SupervisedPool` — the recovery
+* :class:`repro.engine.runner.WorkerPool` under a
+  :class:`~repro.engine.supervise.SupervisePolicy` — the recovery
   ladder itself: crash → respawn → retry → degrade, hang → deadline →
   retry, app errors propagating unretried, with stats proving the
-  faults actually fired;
+  faults actually fired — and the unsupervised pool's structured
+  crash error;
 * :mod:`repro.engine.checkpoint` — replica checkpoint round-trips and
   rejection of foreign/torn files;
 * the **differential fault suite** — the module's reason to exist:
@@ -32,12 +34,8 @@ import pytest
 from repro.engine import checkpoint, faults, supervise
 from repro.engine.faults import FaultPlan, FaultSpec, parse_faults, use_faults
 from repro.engine.replicate import replica_seeds, replicate_scenario
-from repro.engine.supervise import (
-    SupervisePolicy,
-    SupervisedPool,
-    supervised_map,
-    use_supervision,
-)
+from repro.engine.runner import ParallelRunner, WorkerPool
+from repro.engine.supervise import SupervisePolicy, use_supervision
 from repro.errors import (
     ConfigurationError,
     EngineError,
@@ -72,6 +70,10 @@ def _failing_task(context, task):
     if task == 3:
         raise ValueError("task three exploded")
     return task
+
+
+def _dying_task(context, task):
+    os._exit(13)
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +215,7 @@ class TestSupervisedPool:
         policy = SupervisePolicy(timeout=120.0, retries=2)
         # use_faults(None): stay clean even when the CI leg exports
         # REPRO_FAULTS around this whole file.
-        with use_faults(None), SupervisedPool(3, policy=policy) as pool:
+        with use_faults(None), WorkerPool(3, policy=policy) as pool:
             results = pool.run(_square_task, {"offset": 5}, tasks)
             stats = pool.stats.as_dict()
         assert results == [5 + task * task for task in tasks]
@@ -222,7 +224,7 @@ class TestSupervisedPool:
     def test_certain_crash_degrades_to_correct_results(self):
         with use_faults(FaultPlan((FaultSpec("crash", 1.0),))):
             policy = SupervisePolicy(retries=1, degrade=True)
-            with SupervisedPool(2, policy=policy) as pool:
+            with WorkerPool(2, policy=policy) as pool:
                 results = pool.run(_square_task, {"offset": 3}, list(range(8)))
                 stats = pool.stats.as_dict()
         assert results == [3 + task * task for task in range(8)]
@@ -233,7 +235,7 @@ class TestSupervisedPool:
     def test_certain_crash_without_degrade_raises_with_provenance(self):
         with use_faults(FaultPlan((FaultSpec("crash", 1.0),))):
             policy = SupervisePolicy(retries=1, degrade=False)
-            with SupervisedPool(2, policy=policy) as pool:
+            with WorkerPool(2, policy=policy) as pool:
                 with pytest.raises(WorkerCrashError) as excinfo:
                     pool.run(_square_task, {"offset": 0}, list(range(8)))
         error = excinfo.value
@@ -247,7 +249,7 @@ class TestSupervisedPool:
         # ever degrading — the accounting path, not the fallback path.
         with use_faults(FaultPlan((FaultSpec("crash", 0.08),), seed=1)):
             policy = SupervisePolicy(retries=3, degrade=False)
-            with SupervisedPool(2, policy=policy) as pool:
+            with WorkerPool(2, policy=policy) as pool:
                 results = pool.run(_square_task, {"offset": 3}, list(range(16)))
                 stats = pool.stats.as_dict()
         assert results == [3 + task * task for task in range(16)]
@@ -258,7 +260,7 @@ class TestSupervisedPool:
     def test_hang_past_deadline_raises_timeout_without_degrade(self):
         with use_faults(FaultPlan((FaultSpec("hang", 1.0, seconds=30.0),))):
             policy = SupervisePolicy(timeout=0.5, retries=0, degrade=False)
-            with SupervisedPool(2, policy=policy) as pool:
+            with WorkerPool(2, policy=policy) as pool:
                 with pytest.raises(MapTimeoutError) as excinfo:
                     pool.run(_square_task, {"offset": 0}, list(range(4)))
         assert "deadline" in str(excinfo.value)
@@ -266,7 +268,7 @@ class TestSupervisedPool:
     def test_hang_past_deadline_degrades_to_correct_results(self):
         with use_faults(FaultPlan((FaultSpec("hang", 1.0, seconds=30.0),))):
             policy = SupervisePolicy(timeout=0.5, retries=0, degrade=True)
-            with SupervisedPool(2, policy=policy) as pool:
+            with WorkerPool(2, policy=policy) as pool:
                 results = pool.run(_square_task, {"offset": 1}, list(range(4)))
                 stats = pool.stats.as_dict()
         assert results == [1 + task * task for task in range(4)]
@@ -275,7 +277,7 @@ class TestSupervisedPool:
 
     def test_app_exception_propagates_unretried(self):
         policy = SupervisePolicy(retries=5, degrade=True)
-        with use_faults(None), SupervisedPool(2, policy=policy) as pool:
+        with use_faults(None), WorkerPool(2, policy=policy) as pool:
             with pytest.raises(ValueError, match="task three exploded"):
                 pool.run(_failing_task, None, list(range(6)))
             stats = pool.stats.as_dict()
@@ -288,25 +290,39 @@ class TestSupervisedPool:
     def test_pool_survives_recovery_and_serves_next_map(self):
         crash_all = FaultPlan((FaultSpec("crash", 1.0),))
         policy = SupervisePolicy(retries=0, degrade=True)
-        with use_faults(None), SupervisedPool(2, policy=policy) as pool:
+        with use_faults(None), WorkerPool(2, policy=policy) as pool:
             with use_faults(crash_all):
                 degraded = pool.run(_square_task, {"offset": 0}, list(range(6)))
             # Faults gone: the respawned workers serve a clean map.
             clean = pool.run(_square_task, {"offset": 0}, list(range(6)))
         assert degraded == clean == [task * task for task in range(6)]
 
-    def test_supervised_map_inline_below_parallel_threshold(self):
-        policy = SupervisePolicy(retries=0)
-        assert supervised_map(_square_task, {"offset": 0}, [3], 8, policy) == [9]
-        assert supervised_map(_square_task, {"offset": 0}, [], 8, policy) == []
+    def test_supervised_runner_map_inline_below_parallel_threshold(self):
+        with use_supervision(SupervisePolicy(retries=0)):
+            assert ParallelRunner(8).map(_square_task, {"offset": 0}, [3]) == [9]
+            assert ParallelRunner(8).map(_square_task, {"offset": 0}, []) == []
 
-    def test_supervised_map_parallel_matches_inline(self):
+    def test_supervised_runner_map_parallel_matches_inline(self):
         tasks = list(range(10))
         inline = [_square_task({"offset": 2}, task) for task in tasks]
-        policy = SupervisePolicy(retries=1)
-        with use_faults(None):
-            pooled = supervised_map(_square_task, {"offset": 2}, tasks, 2, policy)
+        with use_faults(None), use_supervision(SupervisePolicy(retries=1)):
+            pooled = ParallelRunner(2).map(_square_task, {"offset": 2}, tasks)
         assert pooled == inline
+
+    def test_unsupervised_worker_crash_raises_structured_error(self):
+        with use_faults(None), use_supervision(None):
+            with pytest.raises(WorkerCrashError) as excinfo:
+                ParallelRunner(2).map(_dying_task, None, [0, 1])
+        assert excinfo.value.attempts == 1  # no retry without a policy
+        assert "_dying_task" in excinfo.value.provenance
+
+    def test_unsupervised_pool_injects_no_faults(self):
+        # The clean-reference contract: with supervision explicitly off,
+        # a live crash plan must not fire, since nothing would recover.
+        crash_all = FaultPlan((FaultSpec("crash", 1.0),))
+        with use_faults(crash_all), use_supervision(None):
+            pooled = ParallelRunner(2).map(_square_task, {"offset": 1}, list(range(6)))
+        assert pooled == [1 + task * task for task in range(6)]
 
 
 # ----------------------------------------------------------------------

@@ -132,13 +132,13 @@ class TestStreamReplicationAcrossBackends:
 
 class TestPrivatePoolForkSafety:
     """The fold fan-out of ``figure5-threshold`` maps through a
-    *private* ``ProcessPoolExecutor`` whose fork-started workers
-    inherit the context by memory, not pickle — the one engine path
-    that would hand every worker the parent's live SQLite token table
-    and ``MAP_SHARED`` count columns.  ``ParallelRunner.map``
-    roundtrips the context through pickle when the disk backend is
-    active; regression for the sibling-intern collision
-    (``UNIQUE constraint failed: tokens.id``)."""
+    throwaway ``WorkerPool`` whose fork-started workers must never
+    touch the parent's live SQLite token table or ``MAP_SHARED`` count
+    columns.  The pool ships the context as a pickled blob, so each
+    worker unpickles its own by-value copy (``DiskTokenTable`` reduces
+    to a plain in-memory table); regression for the sibling-intern
+    collision (``UNIQUE constraint failed: tokens.id``) that
+    fork-inherited contexts caused."""
 
     FOLD_SCENARIO = "figure5-threshold"
     FOLD_OVERRIDES = dict(

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -145,3 +150,48 @@ class TestWordForge:
         forge = self._forge()
         for _ in range(10):
             assert any(ch.isdigit() for ch in forge.entity())
+
+    def test_obfuscation_escapes_truncation_dead_end(self):
+        # A 12-character word with no substitutable letter whose only
+        # reachable candidate is already taken: every appended digit is
+        # truncated away, so the forge must perturb inside the word.
+        forge = self._forge()
+        word = "bcdfghjklmnp"
+        forge._seen.add(word)
+        variant = _with_deadline(
+            "from repro.corpus.vocabulary import WordForge\n"
+            "from repro.rng import SeedSpawner\n"
+            "forge = WordForge(SeedSpawner(1).spawn('forge-test'))\n"
+            f"forge._seen.add({word!r})\n"
+            f"print(forge.obfuscation_of({word!r}))\n"
+        )
+        assert variant != word
+        assert len(variant) == 12
+        assert variant == forge.obfuscation_of(word)
+
+
+def _with_deadline(code: str, seconds: float = 60.0) -> str:
+    """Run ``code`` in a fresh interpreter; a hang fails, not stalls."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=Path(__file__).resolve().parent.parent,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=seconds,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def test_small_profile_seed_220_builds_within_deadline():
+    # Seed 220 once drove obfuscation_of into its truncation dead end
+    # and hung Vocabulary.build forever.
+    out = _with_deadline(
+        "from repro.corpus.vocabulary import SMALL_PROFILE, Vocabulary\n"
+        "vocabulary = Vocabulary.build(SMALL_PROFILE, seed=220)\n"
+        "print(len(vocabulary.spam_unlisted))\n"
+    )
+    assert int(out) == SMALL_PROFILE.spam_unlisted_size
